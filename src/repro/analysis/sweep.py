@@ -52,7 +52,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.fastpath import resolve_engine
+from repro.fastpath import FAST, resolve_engine
 from repro.runtime import RunStats, map_ordered, record, resolve_workers
 from repro.verify.oracle import checked_simulate, is_enabled
 from repro.workload.base import Workload
@@ -137,12 +137,14 @@ def verify_run(
     enabled (``--verify`` / ``REPRO_VERIFY=1``).  Forked sweep workers
     inherit the enable flag from the parent process, so each worker
     verifies its own grid points.  A ``faults`` plan is forwarded intact
-    — under the oracle, both the simulator and the spec replay it.
+    — under the oracle, both the simulator and the spec replay it.  The
+    requests go in as :meth:`Workload.columns`: the fast path runs them
+    without encoding again, and every other engine iterates the pairs.
     """
     return checked_simulate(
         workload.server(),
         protocol,
-        workload.requests,
+        workload.columns(),
         mode,
         costs=costs,
         end_time=workload.duration,
@@ -214,6 +216,12 @@ def sweep_protocol(
     """
     resolved = resolve_workers(workers)
     started = obs_clock.monotonic()
+    engine = resolve_engine()
+    if engine == FAST:
+        # Encode each workload once, before any fork: pool workers
+        # inherit the columns (and the compiled server) copy-on-write.
+        for workload in workloads:
+            workload.columns()
 
     tasks: list = list(parameters)
     if include_invalidation:
@@ -250,7 +258,7 @@ def sweep_protocol(
         grid_points=len(points),
         peak_grid_size=len(points),
         verified_runs=len(tasks) * len(workloads) if is_enabled() else 0,
-        engine=resolve_engine(),
+        engine=engine,
     )
     record(stats)
     obs_metrics.set_gauge("sweep.grid_points", float(len(points)))

@@ -28,8 +28,10 @@ from pathlib import Path
 from repro.analysis.report import ExperimentReport
 from repro.experiments.common import warm_shared_sweeps
 from repro.experiments.registry import all_ids, run_experiment
+from repro.fastpath import engine_preserved, set_engine
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
+from repro.verify import enabled_preserved, set_enabled
 from repro.runtime import (
     RunStats,
     collecting,
@@ -129,19 +131,21 @@ def main(argv: list[str] | None = None) -> int:
              "docs/FASTPATH.md",
     )
     args = parser.parse_args(argv)
+    # --engine and --verify set process-wide state; restore it on
+    # return so an in-process call leaves no trace on later work.
+    with engine_preserved(), enabled_preserved():
+        return _run(args)
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.engine:
         # Before anything forks: set_engine mirrors the choice into
         # REPRO_ENGINE, so pool workers resolve the same engine.
-        from repro.fastpath import set_engine
-
         set_engine(args.engine)
 
     if args.verify:
         # Enable before anything forks: pool workers inherit the flag
         # and oracle-check the runs they execute.
-        from repro.verify import set_enabled
-
         set_enabled(True)
 
     registry = (

@@ -16,6 +16,7 @@ the measured speedups.  Engine selection (``--engine fast|reference``,
 from repro.fastpath.arrays import (
     CacheState,
     CompiledServer,
+    RequestColumns,
     compile_server,
     encode_requests,
     initial_state,
@@ -33,6 +34,7 @@ from repro.fastpath.dispatch import (
     REFERENCE,
     UnsupportedFastPathError,
     compile_protocol,
+    engine_preserved,
     engine_simulate,
     fast_simulate,
     resolve_engine,
@@ -48,6 +50,7 @@ __all__ = [
     "ENGINES",
     "FAST",
     "REFERENCE",
+    "RequestColumns",
     "UnsupportedFastPathError",
     "compile_protocol",
     "compile_server",
@@ -55,6 +58,7 @@ __all__ = [
     "diff_metrics",
     "diff_results",
     "encode_requests",
+    "engine_preserved",
     "engine_simulate",
     "fast_simulate",
     "initial_state",

@@ -11,6 +11,11 @@ into parallel arrays indexed by a dense object index:
   flattened into one sorted ``mod_times`` array with per-object
   ``[mod_lo, mod_lo + mod_count)`` slices, so "version at time t" is
   a single bounded :func:`bisect.bisect_right`;
+* request columns (:class:`RequestColumns`) — the request stream as
+  parallel times / object-index / version lists.  The version of the
+  requested object at the request's time depends on neither the
+  protocol nor its parameters, so it is bisected once here and every
+  run over the same stream reads it instead;
 * cache-state arrays (:class:`CacheState`) — the mutable per-entry
   fields the protocols consult (``validated_at``, ``last_modified``,
   ``valid``, generation, Expires stamps), replacing ``CacheEntry``;
@@ -19,7 +24,11 @@ into parallel arrays indexed by a dense object index:
 
 Compilation is cached per server instance (weak-keyed, so a dropped
 server frees its arrays): a 21-point sweep over one workload compiles
-once and reuses the arrays for every grid point.
+once and reuses the arrays for every grid point.  A workload's request
+columns are cached on the workload itself
+(:meth:`repro.workload.base.Workload.columns`), and the preloaded
+start state per ``(compiled server, start_time)`` on the compiled
+server, so each run starts from list copies.
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
 own :meth:`~repro.core.server.OriginServer.invalidation_feed` mapped to
@@ -35,8 +44,8 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.core.server import OriginServer, UnknownObjectError
 
@@ -67,6 +76,10 @@ class CompiledServer:
     #: reference's ``(time, id)`` tie-break), as parallel arrays.
     feed_times: list[float]
     feed_obj: list[int]
+    #: Preloaded start states by start time (see :func:`initial_state`).
+    preloaded: dict[float, "CacheState"] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 _COMPILED: "weakref.WeakKeyDictionary[OriginServer, CompiledServer]" = (
@@ -161,6 +174,17 @@ class CacheState:
         self.server_expires = [0.0] * count
         self.expires_at = [0.0] * count
 
+    def copy(self) -> "CacheState":
+        """An independent state with every array copied."""
+        clone = CacheState(0)
+        for name in self.__slots__:
+            setattr(clone, name, getattr(self, name)[:])
+        return clone
+
+
+#: Start times whose preloaded state one compiled server keeps.
+_PRELOADED_SLOTS = 4
+
 
 def initial_state(
     compiled: CompiledServer, start_time: float, preload: bool
@@ -170,13 +194,25 @@ def initial_state(
     With ``preload`` (the paper's configuration) every cacheable object
     enters resident and valid, stamped validated at ``start_time`` with
     the origin's Last-Modified at that instant — exactly what
-    :meth:`Cache.preload_from` builds.  CERN's store-time expiry stamp
-    is applied by the kernel (it depends on protocol parameters).
+    :meth:`Cache.preload_from` builds.  That state depends only on the
+    server and ``start_time``, so it is built once per pair and each
+    run gets a copy.  CERN's store-time expiry stamp is applied by the
+    kernel (it depends on protocol parameters).
     """
+    if not preload:
+        return CacheState(len(compiled.ids))
+    template = compiled.preloaded.get(start_time)
+    if template is None:
+        if len(compiled.preloaded) >= _PRELOADED_SLOTS:
+            compiled.preloaded.clear()
+        template = _preloaded(compiled, start_time)
+        compiled.preloaded[start_time] = template
+    return template.copy()
+
+
+def _preloaded(compiled: CompiledServer, start_time: float) -> CacheState:
     count = len(compiled.ids)
     state = CacheState(count)
-    if not preload:
-        return state
     mod_times = compiled.mod_times
     for i in range(count):
         if not compiled.cacheable[i]:
@@ -198,12 +234,49 @@ def initial_state(
     return state
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class RequestColumns:
+    """A request stream compiled against one :class:`CompiledServer`.
+
+    Three parallel lists: ``times``, ``objs`` (the dense object index)
+    and ``versions`` — the requested object's version at the request's
+    time, ``bisect_right(mod_times, t, lo, lo + count) - lo``.  They
+    hold the stream's own float objects and the index's own int
+    objects.
+
+    Iterating yields the original ``(time, object_id)`` pairs, so the
+    reference engine, the spec model and every fallback consume the
+    same object unchanged.  The columns are a snapshot: they stay valid
+    only while the source list is not mutated.
+    """
+
+    compiled: CompiledServer
+    pairs: list[tuple[float, str]]
+    times: list[float]
+    objs: list[int]
+    versions: list[int]
+
+    def __iter__(self) -> Iterator[tuple[float, str]]:
+        return iter(self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
+def order_error(t: float, now: float) -> ValueError:
+    """The reference simulator's out-of-order error, byte for byte."""
+    return ValueError(
+        f"request at {t!r} precedes current time {now!r}; "
+        "request streams must be time-ordered"
+    )
+
+
 def encode_requests(
     compiled: CompiledServer,
     requests: Iterable[tuple[float, str]],
     start_time: float,
-) -> tuple[list[float], list[int]]:
-    """The request stream as parallel (times, object-index) arrays.
+) -> RequestColumns:
+    """The request stream as :class:`RequestColumns`.
 
     Validation replays the reference :meth:`Simulation.step` checks with
     identical exception types and messages.
@@ -214,20 +287,29 @@ def encode_requests(
         UnknownObjectError: when a request names an object the server
             does not hold.
     """
+    pairs = requests if isinstance(requests, list) else list(requests)
     times: list[float] = []
     objs: list[int] = []
+    versions: list[int] = []
     index = compiled.index
+    mod_times = compiled.mod_times
+    mod_lo = compiled.mod_lo
+    mod_count = compiled.mod_count
+    br = bisect_right
     now: float = float(start_time)
-    for t, oid in requests:
+    for t, oid in pairs:
         if t < now:
-            raise ValueError(
-                f"request at {t!r} precedes current time {now!r}; "
-                "request streams must be time-ordered"
-            )
+            raise order_error(t, now)
         now = t
         obj = index.get(oid)
         if obj is None:
             raise UnknownObjectError(oid)
         times.append(t)
         objs.append(obj)
-    return times, objs
+        count = mod_count[obj]
+        if count:
+            lo = mod_lo[obj]
+            versions.append(br(mod_times, t, lo, lo + count) - lo)
+        else:
+            versions.append(0)
+    return RequestColumns(compiled, pairs, times, objs, versions)

@@ -41,7 +41,8 @@ reference's hook timings.)
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional
 
 from repro.core.cache import Cache
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
@@ -59,7 +60,13 @@ from repro.core.results import SimulationResult
 from repro.core.server import OriginServer
 from repro.core.simulator import EventObserver, SimulatorMode, simulate
 from repro.faults.plan import FaultPlan
-from repro.fastpath.arrays import compile_server, encode_requests, initial_state
+from repro.fastpath.arrays import (
+    RequestColumns,
+    compile_server,
+    encode_requests,
+    initial_state,
+    order_error,
+)
 from repro.fastpath.kernels import (
     KIND_ALEX,
     KIND_CERN,
@@ -122,6 +129,26 @@ def set_engine(engine: Optional[str]) -> Optional[str]:
         _engine_override = _validated(engine)
         os.environ[ENGINE_ENV_VAR] = _engine_override
     return previous
+
+
+@contextmanager
+def engine_preserved() -> Iterator[None]:
+    """Restore the engine override and ``REPRO_ENGINE`` on exit.
+
+    For in-process entry points (the CLIs' ``main``) whose flags call
+    :func:`set_engine`: the choice must not outlive the call.
+    """
+    global _engine_override
+    previous = _engine_override
+    previous_env = os.environ.get(ENGINE_ENV_VAR)
+    try:
+        yield
+    finally:
+        _engine_override = previous
+        if previous_env is None:
+            os.environ.pop(ENGINE_ENV_VAR, None)
+        else:
+            os.environ[ENGINE_ENV_VAR] = previous_env
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -239,6 +266,10 @@ def fast_simulate(
     stream, error messages, and float accumulation order included (the
     contract in docs/FASTPATH.md).
 
+    ``requests`` may be :class:`~repro.fastpath.arrays.RequestColumns`
+    compiled against this ``server`` (``Workload.columns()``); they are
+    then used as they are instead of being encoded again.
+
     Raises:
         UnsupportedFastPathError: for configurations outside the
             compiled subset (see :func:`unsupported_reason`).
@@ -264,15 +295,24 @@ def fast_simulate(
     batch = MetricsBatch() if registry is not None else None
     with obs_profile.phase("fastpath.compile"):
         compiled = compile_server(server)
-        req_times, req_objs = encode_requests(compiled, requests, start_time)
+        if (
+            isinstance(requests, RequestColumns)
+            and requests.compiled is compiled
+        ):
+            # Already encoded (Workload.columns): only the start-time
+            # check is run-specific.
+            columns = requests
+            if columns.times and columns.times[0] < start_time:
+                raise order_error(columns.times[0], float(start_time))
+        else:
+            columns = encode_requests(compiled, requests, start_time)
     kind, p0, p1, p2, has_p2 = compiled_protocol
     with obs_profile.phase("fastpath.simulate"):
         state = initial_state(compiled, float(start_time), preload)
         result = run_kernel(
             compiled,
             state,
-            req_times,
-            req_objs,
+            columns,
             kind=kind,
             p0=p0,
             p1=p1,

@@ -39,7 +39,7 @@ from repro.core.metrics import (
 )
 from repro.core.results import SimulationResult
 from repro.core.simulator import EventObserver
-from repro.fastpath.arrays import CacheState, CompiledServer
+from repro.fastpath.arrays import CacheState, CompiledServer, RequestColumns
 from repro.obs.names import DEFAULT_BINS, HISTOGRAM_BINS
 from repro.obs.registry import MetricsRegistry, _accumulate
 
@@ -117,8 +117,7 @@ class MetricsBatch:
 def run_kernel(
     compiled: CompiledServer,
     state: CacheState,
-    req_times: list[float],
-    req_objs: list[int],
+    columns: RequestColumns,
     *,
     kind: int,
     p0: float = 0.0,
@@ -143,6 +142,10 @@ def run_kernel(
     lease; CERN — ``p0``/``p1``/``p2`` are lm_fraction / default_ttl /
     max_ttl (``has_p2`` = a max_ttl clamp is configured).
 
+    ``columns`` must be compiled against ``compiled``; each request's
+    ``versions`` entry is the object's version at the request's time,
+    so no step of the loop bisects the modification schedule.
+
     When ``batch`` is given, the loop additionally tallies every metric
     the reference engine would have published (``cache.stores``,
     ``server.gets``, ``sim.transfer_bytes``, the ``sim.event.*`` family,
@@ -155,7 +158,6 @@ def run_kernel(
         AssertionError: if the counter invariants fail (same terminal
             check the reference ``finish`` runs).
     """
-    br = bisect_right
     ids = compiled.ids
     sizes = compiled.sizes
     cacheable = compiled.cacheable
@@ -164,7 +166,6 @@ def run_kernel(
     has_expires = compiled.has_expires
     mod_times = compiled.mod_times
     mod_lo = compiled.mod_lo
-    mod_count = compiled.mod_count
 
     resident = state.resident
     valid = state.valid
@@ -200,7 +201,7 @@ def run_kernel(
     feed_len = len(feed_times)
     # Modifications that predate the run are skipped: preloaded entries
     # already reflect them (the reference's start-time fast-forward).
-    feed_idx = br(feed_times, start_time, 0, feed_len)
+    feed_idx = bisect_right(feed_times, start_time, 0, feed_len)
     next_feed = feed_times[feed_idx] if feed_idx < feed_len else _INFINITY
 
     control_message, _ = costs.invalidation_notice()
@@ -275,7 +276,7 @@ def run_kernel(
             rw_n += 1
 
     now = float(start_time)
-    for t, i in zip(req_times, req_objs):
+    for t, i, vt in zip(columns.times, columns.objs, columns.versions):
         now = t
         # -- deliver pending invalidation callbacks -----------------------
         while next_feed <= t:
@@ -322,8 +323,6 @@ def run_kernel(
 
         if not resident[i]:
             # Cold miss: full fetch + store.
-            lo = mod_lo[i]
-            vt = br(mod_times, t, lo, lo + mod_count[i]) - lo
             ctl_full += full_control
             body_full += sizes[i]
             ex_full += 1
@@ -334,7 +333,7 @@ def run_kernel(
             valid[i] = True
             version[i] = vt
             validated_at[i] = t
-            lm = obj_created[i] if vt == 0 else mod_times[lo + vt - 1]
+            lm = obj_created[i] if vt == 0 else mod_times[mod_lo[i] + vt - 1]
             last_modified[i] = lm
             if has_expires[i]:
                 has_sx[i] = True
@@ -401,36 +400,26 @@ def run_kernel(
         if fresh:
             hits += 1
             v = version[i]
-            nm = mod_count[i]
-            # version_at(t) <= mod_count, so an entry at the final
-            # version can never test stale: skip the bisect entirely.
-            if v < nm:
-                lo = mod_lo[i]
-                hi = lo + nm
-                if v < br(mod_times, t, lo, hi) - lo:
-                    stale_hits += 1
-                    # became_stale = next_change_after(last_modified):
-                    # the entry's Last-Modified is exactly mod_times
-                    # [lo + v - 1] (or created), so the first strictly
-                    # later change is mod_times[lo + v] — in range
-                    # because v < version_at(t) <= nm.
-                    age_stale = t - mod_times[lo + v]
-                    stale_age_sum += age_stale
-                    if collect:
-                        sa_counts[bl(sa_bounds, age_stale)] += 1
-                        acc(sa_partials, age_stale)
-                        sa_n += 1
-                    if notify is not None:
-                        notify("stale_hit", t, ids[i])
-                elif notify is not None:
-                    notify("hit", t, ids[i])
+            if v < vt:
+                stale_hits += 1
+                # became_stale = next_change_after(last_modified): with
+                # lo = mod_lo[i], the entry's Last-Modified is exactly
+                # mod_times[lo + v - 1] (or created), so the first
+                # strictly later change is mod_times[lo + v] — in range
+                # because v < vt <= mod_count[i].
+                age_stale = t - mod_times[mod_lo[i] + v]
+                stale_age_sum += age_stale
+                if collect:
+                    sa_counts[bl(sa_bounds, age_stale)] += 1
+                    acc(sa_partials, age_stale)
+                    sa_n += 1
+                if notify is not None:
+                    notify("stale_hit", t, ids[i])
             elif notify is not None:
                 notify("hit", t, ids[i])
             continue
 
-        lo = mod_lo[i]
-        vt = br(mod_times, t, lo, lo + mod_count[i]) - lo
-        lm = obj_created[i] if vt == 0 else mod_times[lo + vt - 1]
+        lm = obj_created[i] if vt == 0 else mod_times[mod_lo[i] + vt - 1]
 
         if base_mode:
             # Base simulator: unconditional refetch, even when unchanged.

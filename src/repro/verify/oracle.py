@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.core.cache import Cache
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
@@ -72,6 +73,26 @@ def set_enabled(flag: bool) -> None:
     global _enabled
     _enabled = bool(flag)
     os.environ["REPRO_VERIFY"] = "1" if flag else "0"
+
+
+@contextmanager
+def enabled_preserved() -> Iterator[None]:
+    """Restore the verification flag and ``REPRO_VERIFY`` on exit.
+
+    For in-process entry points (the CLIs' ``main``) whose ``--verify``
+    calls :func:`set_enabled`: the flag must not outlive the call.
+    """
+    global _enabled
+    previous = _enabled
+    previous_env = os.environ.get("REPRO_VERIFY")
+    try:
+        yield
+    finally:
+        _enabled = previous
+        if previous_env is None:
+            os.environ.pop("REPRO_VERIFY", None)
+        else:
+            os.environ["REPRO_VERIFY"] = previous_env
 
 
 def is_enabled() -> bool:

@@ -10,10 +10,13 @@ time-ordered client request stream.  Generators in this package build
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.objects import ObjectHistory
 from repro.core.server import OriginServer
+
+if TYPE_CHECKING:
+    from repro.fastpath.arrays import RequestColumns
 
 
 @dataclass
@@ -29,6 +32,9 @@ class Workload:
             ``requests`` (used by trace synthesis and the % - remote
             statistic of Table 1).
         name: label for reports.
+
+    The origin server and the request columns are built on first use
+    and kept; the workload must not be mutated after that.
     """
 
     histories: list[ObjectHistory]
@@ -37,6 +43,9 @@ class Workload:
     clients: Optional[list[str]] = None
     name: str = "workload"
     _server: Optional[OriginServer] = field(
+        default=None, repr=False, compare=False
+    )
+    _columns: Optional["RequestColumns"] = field(
         default=None, repr=False, compare=False
     )
 
@@ -57,6 +66,28 @@ class Workload:
         if self._server is None:
             self._server = OriginServer(self.histories)
         return self._server
+
+    def columns(self) -> "RequestColumns":
+        """Encode (once) and return the request stream as columns.
+
+        The columns are compiled against ``compile_server(self.server())``
+        and iterate as :attr:`requests`, so any engine accepts them; the
+        fast path reuses them instead of encoding the stream per run.
+
+        Raises:
+            UnknownObjectError: when a request names an object outside
+                :attr:`histories` (the reference simulator's message).
+        """
+        if self._columns is None:
+            # Looked up on the module at call time, like fast_simulate
+            # does, so a wrapper installed there sees these calls too.
+            from repro.fastpath import dispatch
+
+            compiled = dispatch.compile_server(self.server())
+            self._columns = dispatch.encode_requests(
+                compiled, self.requests, float("-inf")
+            )
+        return self._columns
 
     @property
     def total_changes(self) -> int:

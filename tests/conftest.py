@@ -8,6 +8,22 @@ import pytest
 from repro.core.clock import DAY, days
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
 from repro.core.server import OriginServer
+from repro.fastpath import engine_preserved
+from repro.verify import enabled_preserved
+
+
+@pytest.fixture(autouse=True)
+def pristine_process_settings():
+    """Undo any engine override or oracle flag a test sets.
+
+    Both are process-global (and mirrored into ``REPRO_ENGINE`` /
+    ``REPRO_VERIFY`` for pool workers), so one test's ``--engine`` or
+    ``--verify`` must not leak into the next — nor into a suite run
+    under a pinned engine (the CI reference-engine leg exports
+    ``REPRO_ENGINE=reference``).
+    """
+    with engine_preserved(), enabled_preserved():
+        yield
 
 
 def make_history(

@@ -1,34 +1,14 @@
-"""Shared fastpath fixtures: pristine engine state, sample workloads.
+"""Shared fastpath fixtures: sample workloads.
 
-Engine selection is process-global (an override plus the
-``REPRO_ENGINE`` environment variable, so pool workers inherit it);
-tests that call :func:`repro.fastpath.set_engine` must not leak the
-choice into each other — or into the rest of the suite, which may
-itself be running under a pinned engine (the CI reference-engine leg
-exports ``REPRO_ENGINE=reference``).
+The engine override each test may set is restored by the suite-wide
+``pristine_process_settings`` fixture (tests/conftest.py).
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.fastpath import ENGINE_ENV_VAR
-from repro.fastpath import dispatch as fastpath_dispatch
 from repro.workload.worrell import WorrellWorkload
-
-
-@pytest.fixture(autouse=True)
-def pristine_engine_state():
-    previous_override = fastpath_dispatch._engine_override
-    previous_env = os.environ.get(ENGINE_ENV_VAR)
-    yield
-    fastpath_dispatch._engine_override = previous_override
-    if previous_env is None:
-        os.environ.pop(ENGINE_ENV_VAR, None)
-    else:
-        os.environ[ENGINE_ENV_VAR] = previous_env
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,14 @@
 """The repro command-line tool."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_protocol, main, server_from_trace
+from repro.cli import build_protocol, lint_code_range, main, make_parser
+from repro.cli import server_from_trace
 from repro.core.clock import hours
 from repro.core.protocols import (
     AlexProtocol,
@@ -13,7 +19,19 @@ from repro.core.protocols import (
     SelfTuningProtocol,
     TTLProtocol,
 )
+from repro.experiments.__main__ import main as experiments_main
+from repro.fastpath import ENGINE_ENV_VAR, resolve_engine
+from repro.lint.registry import checker_codes
 from repro.trace.records import Trace, TraceRecord
+from repro.verify import is_enabled
+
+
+@pytest.fixture
+def trace_file(tmp_path):
+    path = tmp_path / "fas.log"
+    assert main(["synthesize", "fas", str(path), "--scale", "0.05",
+                 "--seed", "2"]) == 0
+    return path
 
 
 class TestBuildProtocol:
@@ -263,20 +281,6 @@ class TestArgumentErrors:
 class TestVerifyScaleCombos:
     """--verify composes with --scale / --workers on every entry point."""
 
-    @pytest.fixture(autouse=True)
-    def _oracle_off_after(self):
-        from repro.verify import set_enabled
-
-        yield
-        set_enabled(False)
-
-    @pytest.fixture
-    def trace_file(self, tmp_path):
-        path = tmp_path / "fas.log"
-        assert main(["synthesize", "fas", str(path), "--scale", "0.05",
-                     "--seed", "2"]) == 0
-        return path
-
     def test_simulate_verify(self, trace_file, capsys):
         assert main(["simulate", str(trace_file), "--protocol", "ttl",
                      "--parameter", "48", "--verify"]) == 0
@@ -291,11 +295,57 @@ class TestVerifyScaleCombos:
         assert parallel == capsys.readouterr().out
 
     def test_experiment_verify_scale(self, capsys):
-        from repro.experiments.__main__ import main as experiments_main
-
         assert experiments_main(
             ["figure2", "--scale", "0.05", "--verify"]
         ) == 0
         out = capsys.readouterr().out
         assert "oracle:" in out
         assert "zero divergence" in out
+
+
+class TestProcessSettingsRestored:
+    """``--engine`` / ``--verify`` must not outlive an in-process main."""
+
+    def _settings(self):
+        return (is_enabled(), resolve_engine(),
+                os.environ.get("REPRO_VERIFY"),
+                os.environ.get(ENGINE_ENV_VAR))
+
+    def test_cli_main_restores_engine_and_oracle(self, trace_file, capsys):
+        before = self._settings()
+        assert main(["simulate", str(trace_file), "--protocol", "ttl",
+                     "--parameter", "48", "--verify",
+                     "--engine", "reference"]) == 0
+        assert self._settings() == before
+
+    def test_experiments_main_restores_engine_and_oracle(self, capsys):
+        before = self._settings()
+        # The exit status reports shape checks, not the subject here.
+        experiments_main(
+            ["table1", "--scale", "0.02", "--verify", "--engine", "reference"]
+        )
+        assert self._settings() == before
+
+    def test_fastpath_then_verify_directories_pass(self):
+        # The order in which a leaked --verify flag used to fail
+        # tests/verify/test_oracle.py's gating tests.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider", "tests/fastpath", "tests/verify"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stdout[-2000:]
+
+
+class TestLintHelp:
+    def test_names_the_registered_code_range(self):
+        codes = checker_codes()
+        assert lint_code_range() == f"{codes[0]}-{codes[-1]}"
+        text = make_parser().format_help()
+        assert f"({lint_code_range()} + baseline)" in " ".join(text.split())
+        assert "RPRxxx" not in text
